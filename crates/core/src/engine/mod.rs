@@ -81,6 +81,11 @@ struct RunKey {
 struct BoundedCache<K, V> {
     map: HashMap<K, CacheEntry<V>>,
     clock: u64,
+    /// Claims taken per key: the computations each key started. Tests
+    /// count one key's simulations with it, which the process-wide
+    /// `misses` counter cannot do while other tests run concurrently.
+    #[cfg(test)]
+    claims: HashMap<K, u64>,
 }
 
 struct CacheEntry<V> {
@@ -92,7 +97,12 @@ struct CacheEntry<V> {
 
 impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
     fn new() -> Self {
-        BoundedCache { map: HashMap::new(), clock: 0 }
+        BoundedCache {
+            map: HashMap::new(),
+            clock: 0,
+            #[cfg(test)]
+            claims: HashMap::new(),
+        }
     }
 
     fn tick(&mut self) -> u64 {
@@ -119,6 +129,10 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
 
     /// Claims `key` for computation (single-flight marker).
     fn claim(&mut self, key: K) {
+        #[cfg(test)]
+        {
+            *self.claims.entry(key.clone()).or_default() += 1;
+        }
         let clock = self.tick();
         self.map.insert(key, CacheEntry { value: None, last_used: clock });
     }
@@ -1021,9 +1035,16 @@ mod tests {
 
     #[test]
     fn single_flight_dedups_concurrent_misses() {
-        // 8 threads race one cold key; single-flight must simulate it once.
+        // 8 threads race one cold key (no other test uses it);
+        // single-flight must simulate it once. Simulations are counted
+        // per key: other tests in this binary bump the process-wide
+        // `misses` counter concurrently.
         let b = Bench::Solver { n: 16 };
         let cfg = BuildCfg::dataflow_baseline(1);
+        let key = RunKey { bench: b, cfg, batch: false };
+        let simulations =
+            || engine().runs.lock().expect("run cache lock").claims.get(&key).copied();
+        assert_eq!(simulations(), None, "the key starts cold");
         let before = stats();
         let items: Vec<u32> = (0..8).collect();
         let runs = par_map_jobs(&items, 8, |_| run_cached(b, &cfg, false).expect("runs"));
@@ -1031,11 +1052,7 @@ mod tests {
         for r in &runs {
             assert_eq!(r.cycles, runs[0].cycles);
         }
-        assert_eq!(
-            after.misses,
-            before.misses + 1,
-            "exactly one simulation for eight concurrent requests"
-        );
+        assert_eq!(simulations(), Some(1), "exactly one simulation for eight concurrent requests");
         assert!(after.hits >= before.hits + 7, "the other seven are hits");
     }
 

@@ -681,8 +681,7 @@ mod tests {
             "persist.append.mid-write",
             &filter,
             revel_failpoint::Action::InjectError,
-            1,
-            false,
+            revel_failpoint::Trigger::Nth(1),
         );
         let (fp2, run2) = sample(2);
         let err = tier.append(fp2, &run2).expect_err("mid-write failpoint fires");
@@ -716,8 +715,7 @@ mod tests {
             "persist.append.mid-write",
             &filter,
             revel_failpoint::Action::InjectError,
-            1,
-            false,
+            revel_failpoint::Trigger::Nth(1),
         );
         let (fp2, run2) = sample(2);
         tier.append(fp2, &run2).expect_err("wounding append");
@@ -728,8 +726,7 @@ mod tests {
             "persist.snapshot.pre-rename",
             &filter,
             revel_failpoint::Action::InjectError,
-            1,
-            false,
+            revel_failpoint::Trigger::Nth(1),
         );
         tier.snapshot().expect_err("pre-rename failpoint fires");
         revel_failpoint::disarm("persist.snapshot.pre-rename", &filter);

@@ -7,8 +7,9 @@
 //! single relaxed atomic load and a never-taken branch, so the
 //! instrumented binary is the shipped binary. A torture harness arms
 //! sites with an [`Action`] — return an injected [`std::io::Error`],
-//! sleep, or hard-abort the process at that exact instruction — and the
-//! same binary now fails exactly where the schedule says it must.
+//! sleep, unwind with an [`InjectedPanic`], or hard-abort the process at
+//! that exact instruction — and the same binary now fails exactly where
+//! the schedule says it must.
 //!
 //! Arms are scoped three ways:
 //!
@@ -19,17 +20,20 @@
 //!   context. This is what lets concurrent tests in one process arm the
 //!   same site without tripping each other: each filters on its own
 //!   unique temp dir or port.
-//! * **by hit count** — `@N` fires on exactly the Nth hit, `@N+` on
-//!   every hit from the Nth on. The trigger is how a schedule says
-//!   "crash on the *third* append", and the `+` form is how a flapping
-//!   shard keeps crashing after every respawn.
+//! * **by trigger** — `@N` fires on exactly the Nth hit, `@N+` on
+//!   every hit from the Nth on, and `%RATE/SEED` on each hit with
+//!   probability `RATE`, drawn from a SplitMix64 stream seeded with
+//!   `SEED` ([`Trigger`]). The count is how a schedule says "crash on the
+//!   *third* append", the `+` form is how a flapping shard keeps crashing
+//!   after every respawn, and the rate is how a server injects a steady,
+//!   reproducible fraction of faults into live traffic.
 //!
 //! Cross-process arming uses the [`ENV_VAR`] environment variable: a
 //! supervisor sets `REVEL_FAILPOINTS=persist.append.mid-write=abort@2`
 //! on a spawned shard and the shard's [`init_from_env`] arms it at
 //! startup. The spec grammar is
-//! `site[#filter]=action[@N[+]] [; more]` with actions `err`, `abort`,
-//! and `delay:MS`.
+//! `site[#filter]=action[@N[+] | %RATE/SEED] [; more]` with actions
+//! `err`, `abort`, `panic`, and `delay:MS` ([`ArmSpec`]).
 //!
 //! [`FailPlan::from_seed`] derives a deterministic crash schedule from a
 //! seed — same seed, same site, same action, same trigger — which is
@@ -53,6 +57,9 @@ pub enum Action {
     /// Hard-abort the process at the site — no destructors, no flush;
     /// the closest safe stand-in for power loss at that instruction.
     Abort,
+    /// Unwind from the site with an [`InjectedPanic`] payload, so a
+    /// `catch_unwind` fence can tell an injected panic from a real bug.
+    Panic,
 }
 
 impl std::fmt::Display for Action {
@@ -61,6 +68,45 @@ impl std::fmt::Display for Action {
             Action::InjectError => write!(f, "err"),
             Action::Delay(ms) => write!(f, "delay:{ms}"),
             Action::Abort => write!(f, "abort"),
+            Action::Panic => write!(f, "panic"),
+        }
+    }
+}
+
+/// The payload an [`Action::Panic`] failpoint unwinds with. A
+/// `catch_unwind` fence downcasts to it to answer a retryable fault
+/// instead of reporting an internal error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InjectedPanic {
+    /// The site that fired.
+    pub site: String,
+}
+
+/// When an armed failpoint fires.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Trigger {
+    /// `@N`: on exactly the Nth hit (1-based).
+    Nth(u64),
+    /// `@N+`: on every hit from the Nth on. A spec clause without a
+    /// trigger means `@1+`.
+    From(u64),
+    /// `%RATE/SEED`: on each hit independently with probability `rate`
+    /// in [0, 1], drawn from a SplitMix64 stream seeded with `seed` —
+    /// the same seed fires on the same hit numbers.
+    Rate {
+        /// Firing probability per hit.
+        rate: f64,
+        /// Seed of the arm's draw stream.
+        seed: u64,
+    },
+}
+
+impl std::fmt::Display for Trigger {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Trigger::Nth(n) => write!(f, "@{n}"),
+            Trigger::From(n) => write!(f, "@{n}+"),
+            Trigger::Rate { rate, seed } => write!(f, "%{rate}/{seed}"),
         }
     }
 }
@@ -71,12 +117,26 @@ struct Arm {
     /// Context substring filter; empty matches every context.
     filter: String,
     action: Action,
-    /// 1-based hit index at which the action fires.
-    trigger: u64,
-    /// `true`: fire on every hit ≥ `trigger`; `false`: only on the
-    /// `trigger`-th hit exactly.
-    every_hit: bool,
+    trigger: Trigger,
     hits: u64,
+    /// SplitMix64 state of a [`Trigger::Rate`] arm's draw stream.
+    draws: u64,
+}
+
+impl Arm {
+    /// Counts one hit and reports whether it fires.
+    fn fires(&mut self) -> bool {
+        self.hits += 1;
+        match self.trigger {
+            Trigger::Nth(n) => self.hits == n,
+            Trigger::From(n) => self.hits >= n,
+            Trigger::Rate { rate, .. } => {
+                // The top 53 bits make a uniform double in [0, 1).
+                let unit = (splitmix64(&mut self.draws) >> 11) as f64 / (1u64 << 53) as f64;
+                unit < rate
+            }
+        }
+    }
 }
 
 /// Fast-path gate: `false` means the registry is empty and [`hit`] is a
@@ -92,13 +152,14 @@ fn registry() -> std::sync::MutexGuard<'static, Vec<Arm>> {
 
 /// Report that execution reached the failpoint `site`.
 ///
-/// Returns `Ok(())` when unarmed (the common case — one relaxed atomic
-/// load), the injected error for an armed `err` action, `Ok(())` after
-/// sleeping for `delay`, and never for `abort`.
+/// Returns `Ok(false)` when nothing fires (the unarmed common case is
+/// one relaxed atomic load), the injected error for an armed `err`
+/// action, and `Ok(true)` after sleeping for a `delay`. A `panic`
+/// unwinds with an [`InjectedPanic`]; an `abort` never returns.
 #[inline]
-pub fn hit(site: &str) -> io::Result<()> {
+pub fn hit(site: &str) -> io::Result<bool> {
     if !ARMED.load(Ordering::Relaxed) {
-        return Ok(());
+        return Ok(false);
     }
     slow_hit(site, "")
 }
@@ -107,16 +168,16 @@ pub fn hit(site: &str) -> io::Result<()> {
 /// server's port) that arms can filter on. The closure only runs when
 /// at least one failpoint is armed, so the fast path stays allocation-free.
 #[inline]
-pub fn hit_with(site: &str, ctx: impl FnOnce() -> String) -> io::Result<()> {
+pub fn hit_with(site: &str, ctx: impl FnOnce() -> String) -> io::Result<bool> {
     if !ARMED.load(Ordering::Relaxed) {
-        return Ok(());
+        return Ok(false);
     }
     let ctx = ctx();
     slow_hit(site, &ctx)
 }
 
 #[cold]
-fn slow_hit(site: &str, ctx: &str) -> io::Result<()> {
+fn slow_hit(site: &str, ctx: &str) -> io::Result<bool> {
     let mut fire = None;
     {
         let mut reg = registry();
@@ -124,23 +185,23 @@ fn slow_hit(site: &str, ctx: &str) -> io::Result<()> {
             if arm.site != site || (!arm.filter.is_empty() && !ctx.contains(&arm.filter)) {
                 continue;
             }
-            arm.hits += 1;
-            let triggered =
-                if arm.every_hit { arm.hits >= arm.trigger } else { arm.hits == arm.trigger };
-            if triggered && fire.is_none() {
+            // Every matching arm counts the hit (and draws), fired or not,
+            // so each arm's sequence depends only on its own hits.
+            if arm.fires() && fire.is_none() {
                 fire = Some(arm.action);
             }
         }
     }
     match fire {
-        None => Ok(()),
+        None => Ok(false),
         Some(Action::InjectError) => {
             Err(io::Error::other(format!("failpoint '{site}': injected I/O error")))
         }
         Some(Action::Delay(ms)) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
-            Ok(())
+            Ok(true)
         }
+        Some(Action::Panic) => std::panic::panic_any(InjectedPanic { site: site.to_string() }),
         Some(Action::Abort) => {
             eprintln!("failpoint '{site}': hard abort");
             std::process::abort();
@@ -148,18 +209,21 @@ fn slow_hit(site: &str, ctx: &str) -> io::Result<()> {
     }
 }
 
-/// Arm `site` with `action`, firing at the 1-based hit `trigger`
-/// (`every_hit` keeps it firing on every later hit too). A non-empty
-/// `filter` restricts the arm to contexts containing it as a substring.
-pub fn arm(site: &str, filter: &str, action: Action, trigger: u64, every_hit: bool) {
+/// Arm `site` with `action` under `trigger`. A non-empty `filter`
+/// restricts the arm to contexts containing it as a substring.
+pub fn arm(site: &str, filter: &str, action: Action, trigger: Trigger) {
+    let draws = match trigger {
+        Trigger::Rate { seed, .. } => seed,
+        _ => 0,
+    };
     let mut reg = registry();
     reg.push(Arm {
         site: site.to_string(),
         filter: filter.to_string(),
         action,
-        trigger: trigger.max(1),
-        every_hit,
+        trigger,
         hits: 0,
+        draws,
     });
     ARMED.store(true, Ordering::Relaxed);
 }
@@ -193,16 +257,27 @@ pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
-/// Parse and arm a `;`-separated spec string:
-/// `site[#filter]=action[@N[+]]` with actions `err`, `abort`,
-/// `delay:MS`. Returns the number of failpoints armed.
-pub fn arm_spec(spec: &str) -> Result<usize, String> {
-    let mut armed = 0usize;
-    for part in spec.split(';') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
+/// One `site[#filter]=action[trigger]` clause of a spec string, parsed
+/// and validated. `Display` renders the canonical clause, which parses
+/// back to an equal value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArmSpec {
+    /// Failpoint site.
+    pub site: String,
+    /// Context substring filter; empty matches every context.
+    pub filter: String,
+    /// What the site does when it fires.
+    pub action: Action,
+    /// When it fires.
+    pub trigger: Trigger,
+}
+
+impl ArmSpec {
+    /// Parse one clause. Rejects an empty site, an unknown action, a
+    /// 0-based or malformed count, and a rate that is NaN or outside
+    /// [0, 1].
+    pub fn parse(clause: &str) -> Result<ArmSpec, String> {
+        let part = clause.trim();
         let (lhs, rhs) =
             part.split_once('=').ok_or_else(|| format!("'{part}': missing '=action'"))?;
         let (site, filter) = match lhs.split_once('#') {
@@ -212,13 +287,12 @@ pub fn arm_spec(spec: &str) -> Result<usize, String> {
         if site.is_empty() {
             return Err(format!("'{part}': empty site name"));
         }
-        let (action_str, trigger_str) = match rhs.split_once('@') {
-            Some((a, t)) => (a.trim(), Some(t.trim())),
-            None => (rhs.trim(), None),
-        };
+        let split = rhs.find(['@', '%']).unwrap_or(rhs.len());
+        let (action_str, trigger_str) = (rhs[..split].trim(), rhs[split..].trim());
         let action = match action_str {
             "err" => Action::InjectError,
             "abort" => Action::Abort,
+            "panic" => Action::Panic,
             other => match other.strip_prefix("delay:") {
                 Some(ms) => {
                     Action::Delay(ms.parse().map_err(|_| format!("'{part}': bad delay '{ms}'"))?)
@@ -226,24 +300,59 @@ pub fn arm_spec(spec: &str) -> Result<usize, String> {
                 None => return Err(format!("'{part}': unknown action '{other}'")),
             },
         };
-        let (trigger, every_hit) = match trigger_str {
-            None => (1, true),
-            Some(t) => {
-                let (num, every) = match t.strip_suffix('+') {
-                    Some(n) => (n, true),
-                    None => (t, false),
-                };
-                let n: u64 = num.parse().map_err(|_| format!("'{part}': bad trigger '{t}'"))?;
-                if n == 0 {
-                    return Err(format!("'{part}': trigger is 1-based"));
-                }
-                (n, every)
+        let trigger = if let Some(t) = trigger_str.strip_prefix('@') {
+            let (num, every) = match t.strip_suffix('+') {
+                Some(n) => (n, true),
+                None => (t, false),
+            };
+            let n: u64 = num.parse().map_err(|_| format!("'{part}': bad trigger '{t}'"))?;
+            if n == 0 {
+                return Err(format!("'{part}': trigger is 1-based"));
             }
+            if every {
+                Trigger::From(n)
+            } else {
+                Trigger::Nth(n)
+            }
+        } else if let Some(t) = trigger_str.strip_prefix('%') {
+            let (rate, seed) =
+                t.split_once('/').ok_or_else(|| format!("'{part}': rate needs '/SEED'"))?;
+            let rate: f64 = rate.parse().map_err(|_| format!("'{part}': bad rate '{rate}'"))?;
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("'{part}': rate {rate} is not in [0, 1]"));
+            }
+            let seed = seed.parse().map_err(|_| format!("'{part}': bad seed '{seed}'"))?;
+            Trigger::Rate { rate, seed }
+        } else {
+            Trigger::From(1)
         };
-        arm(site, filter, action, trigger, every_hit);
-        armed += 1;
+        Ok(ArmSpec { site: site.to_string(), filter: filter.to_string(), action, trigger })
     }
-    Ok(armed)
+}
+
+impl std::fmt::Display for ArmSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.site)?;
+        if !self.filter.is_empty() {
+            write!(f, "#{}", self.filter)?;
+        }
+        write!(f, "={}{}", self.action, self.trigger)
+    }
+}
+
+/// Parse and arm a `;`-separated spec string of [`ArmSpec`] clauses.
+/// Every clause is parsed before any is armed, so a bad spec arms
+/// nothing. Returns the number of failpoints armed.
+pub fn arm_spec(spec: &str) -> Result<usize, String> {
+    let clauses = spec
+        .split(';')
+        .filter(|c| !c.trim().is_empty())
+        .map(ArmSpec::parse)
+        .collect::<Result<Vec<_>, _>>()?;
+    for c in &clauses {
+        arm(&c.site, &c.filter, c.action, c.trigger);
+    }
+    Ok(clauses.len())
 }
 
 /// Arm failpoints from the [`ENV_VAR`] environment variable, if set.
@@ -323,7 +432,9 @@ impl FailPlan {
 
 /// SplitMix64 — the crate sits at the root of the dependency graph, so
 /// it carries its own tiny generator instead of pulling in `revel-isa`.
-fn splitmix64(state: &mut u64) -> u64 {
+/// Exported for harnesses that derive further seeded choices (a victim
+/// shard) on streams independent of [`FailPlan::from_seed`]'s.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -346,7 +457,7 @@ mod tests {
     fn unarmed_hit_is_ok_and_armed_flag_tracks_registry() {
         assert!(hit("test.nothing.armed").is_ok());
         let f = unique_filter("flag");
-        arm("test.flag.site", &f, Action::InjectError, 1, false);
+        arm("test.flag.site", &f, Action::InjectError, Trigger::Nth(1));
         assert!(armed());
         disarm("test.flag.site", &f);
         assert!(hit("test.flag.site").is_ok());
@@ -355,7 +466,7 @@ mod tests {
     #[test]
     fn trigger_counts_hits_and_fires_exactly_once_without_plus() {
         let f = unique_filter("once");
-        arm("test.once.site", &f, Action::InjectError, 3, false);
+        arm("test.once.site", &f, Action::InjectError, Trigger::Nth(3));
         let ctx = || f.clone();
         assert!(hit_with("test.once.site", ctx).is_ok(), "hit 1 passes");
         assert!(hit_with("test.once.site", ctx).is_ok(), "hit 2 passes");
@@ -367,7 +478,7 @@ mod tests {
     #[test]
     fn every_hit_mode_keeps_firing_from_the_trigger_on() {
         let f = unique_filter("every");
-        arm("test.every.site", &f, Action::InjectError, 2, true);
+        arm("test.every.site", &f, Action::InjectError, Trigger::From(2));
         let ctx = || f.clone();
         assert!(hit_with("test.every.site", ctx).is_ok());
         assert!(hit_with("test.every.site", ctx).is_err());
@@ -378,7 +489,7 @@ mod tests {
     #[test]
     fn context_filter_scopes_an_arm_to_matching_contexts() {
         let f = unique_filter("scope");
-        arm("test.scope.site", &f, Action::InjectError, 1, true);
+        arm("test.scope.site", &f, Action::InjectError, Trigger::From(1));
         assert!(hit_with("test.scope.site", || "unrelated-ctx".to_string()).is_ok());
         assert!(hit_with("test.scope.site", || format!("/tmp/{f}/segment")).is_err());
         assert!(hit("test.scope.site").is_ok(), "empty ctx never matches a filtered arm");
@@ -388,10 +499,11 @@ mod tests {
     #[test]
     fn delay_action_sleeps_then_succeeds() {
         let f = unique_filter("delay");
-        arm("test.delay.site", &f, Action::Delay(20), 1, false);
+        arm("test.delay.site", &f, Action::Delay(20), Trigger::Nth(1));
         let t0 = std::time::Instant::now();
-        assert!(hit_with("test.delay.site", || f.clone()).is_ok());
+        assert!(hit_with("test.delay.site", || f.clone()).expect("delay passes"), "delay fired");
         assert!(t0.elapsed() >= std::time::Duration::from_millis(20));
+        assert!(!hit_with("test.delay.site", || f.clone()).expect("passes"), "@1 fires once");
         disarm("test.delay.site", &f);
     }
 
@@ -415,10 +527,91 @@ mod tests {
 
     #[test]
     fn bad_specs_are_rejected_with_a_reason() {
-        for bad in
-            ["noequals", "site=frobnicate", "site=err@0", "site=err@x", "site=delay:y", "=err"]
-        {
+        for bad in [
+            "noequals",
+            "site=frobnicate",
+            "site=err@0",
+            "site=err@x",
+            "site=delay:y",
+            "=err",
+            "site=err%0.5",
+            "site=err%x/1",
+            "site=err%0.5/x",
+            "site=err%NaN/1",
+            "site=err%-0.1/1",
+            "site=err%1.5/1",
+            "site=err%inf/1",
+        ] {
             assert!(arm_spec(bad).is_err(), "spec '{bad}' must be rejected");
+        }
+        // A bad clause anywhere arms nothing, not even the good ones.
+        let f = unique_filter("atomic");
+        assert!(arm_spec(&format!("test.atomic.site#{f}=err; site=bogus")).is_err());
+        assert!(hit_with("test.atomic.site", || f.clone()).is_ok());
+    }
+
+    #[test]
+    fn spec_clauses_round_trip_through_parsing() {
+        for clause in [
+            "a.site=err@2",
+            "a.site#7411=abort@4+",
+            "a.site=delay:5@1+",
+            "a.site=panic%0.034/7",
+            "a.site#ctx=err%1/0",
+            "a.site=delay:5%0/18446744073709551615",
+        ] {
+            let parsed = ArmSpec::parse(clause).expect("valid clause");
+            assert_eq!(parsed.to_string(), clause, "canonical clause renders back unchanged");
+            assert_eq!(ArmSpec::parse(&parsed.to_string()), Ok(parsed));
+        }
+        // A clause without a trigger means every hit.
+        let bare = ArmSpec::parse(" a.site = err ").expect("valid clause");
+        assert_eq!(bare.trigger, Trigger::From(1));
+        assert_eq!(bare.to_string(), "a.site=err@1+");
+    }
+
+    #[test]
+    fn panic_action_unwinds_with_the_typed_payload() {
+        let f = unique_filter("panic");
+        arm("test.panic.site", &f, Action::Panic, Trigger::Nth(1));
+        let caught = std::panic::catch_unwind(|| hit_with("test.panic.site", || f.clone()));
+        disarm("test.panic.site", &f);
+        let payload = caught.expect_err("an armed panic unwinds");
+        assert_eq!(
+            payload.downcast_ref::<InjectedPanic>(),
+            Some(&InjectedPanic { site: "test.panic.site".to_string() })
+        );
+    }
+
+    /// Fires `n` hits on a fresh `%rate/seed` arm and returns which fired.
+    fn rate_sequence(tag: &str, rate: f64, seed: u64, n: usize) -> Vec<bool> {
+        let f = unique_filter(tag);
+        let site = format!("test.rate.{tag}");
+        arm(&site, &f, Action::InjectError, Trigger::Rate { rate, seed });
+        let fired = (0..n).map(|_| hit_with(&site, || f.clone()).is_err()).collect();
+        disarm(&site, &f);
+        fired
+    }
+
+    #[test]
+    fn rate_trigger_replays_the_same_hits_for_the_same_seed() {
+        let a = rate_sequence("same-a", 0.3, 7, 500);
+        let b = rate_sequence("same-b", 0.3, 7, 500);
+        assert_eq!(a, b, "same seed, same hit sequence");
+        assert_ne!(a, rate_sequence("other", 0.3, 8, 500), "another seed, another sequence");
+        assert!(rate_sequence("never", 0.0, 7, 500).iter().all(|f| !f), "rate 0 never fires");
+        assert!(rate_sequence("always", 1.0, 7, 500).iter().all(|f| *f), "rate 1 always fires");
+    }
+
+    #[test]
+    fn rate_trigger_fires_at_its_rate() {
+        // 10k hits at p = 0.1: mean 1000, sigma = sqrt(10k * 0.1 * 0.9) = 30.
+        // The bound is mean +- 5 sigma, which a fair generator misses with
+        // probability below 1e-6.
+        for seed in [1u64, 7, 42] {
+            let fired = rate_sequence(&format!("rate-{seed}"), 0.1, seed, 10_000);
+            let count = fired.iter().filter(|f| **f).count();
+            assert!((850..=1150).contains(&count), "seed {seed}: {count} of 10000 hits fired");
         }
     }
 
@@ -447,7 +640,7 @@ mod tests {
                     assert!(eio.contains(&a.site.as_str()));
                     saw_err = true;
                 }
-                Action::Delay(_) => panic!("from_seed never emits delay"),
+                Action::Delay(_) | Action::Panic => panic!("from_seed never emits {}", a.action),
             }
             // spec() round-trips through the grammar.
             let spec = a.spec();

@@ -4,10 +4,9 @@
 use crate::protocol::{
     decode_response, encode_request, Frame, FrameReader, ProtoError, Request, Response,
 };
-use revel_core::isa::Rng;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A connected client (one TCP stream, requests answered in order).
 pub struct Client {
@@ -25,9 +24,6 @@ pub enum ClientError {
     Closed,
     /// An undecodable or mismatched response frame.
     Protocol(String),
-    /// The circuit breaker is open: the request was rejected locally
-    /// without touching the wire.
-    CircuitOpen,
 }
 
 impl std::fmt::Display for ClientError {
@@ -36,7 +32,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "i/o error: {e}"),
             ClientError::Closed => f.write_str("server closed the connection"),
             ClientError::Protocol(m) => write!(f, "protocol error: {m}"),
-            ClientError::CircuitOpen => f.write_str("circuit breaker open"),
         }
     }
 }
@@ -153,217 +148,6 @@ impl Client {
     }
 }
 
-/// Capped exponential backoff with deterministic jitter.
-///
-/// Retry `attempt` (1-based) sleeps `base_ms << (attempt-1)` capped at
-/// `cap_ms`, then jittered into `[raw/2, raw]` by a seeded [`Rng`] — fixed
-/// seed ⇒ reproducible delay sequence, no thundering herd. A server
-/// `retry_after_ms` hint acts as a floor: the client never comes back
-/// sooner than the server asked.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per request, first try included (1 = never retry).
-    pub max_attempts: u32,
-    /// Backoff base for the first retry, in milliseconds.
-    pub base_ms: u64,
-    /// Backoff ceiling, in milliseconds.
-    pub cap_ms: u64,
-    /// Jitter seed.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 5, base_ms: 10, cap_ms: 1000, seed: 0 }
-    }
-}
-
-/// Computes the delay (ms) before retry `attempt` (1-based).
-fn backoff_ms(policy: &RetryPolicy, attempt: u32, hint_ms: Option<u64>, rng: &mut Rng) -> u64 {
-    let shift = u32::min(attempt.saturating_sub(1), 16);
-    let raw = policy.base_ms.saturating_mul(1 << shift).min(policy.cap_ms);
-    let jittered = raw / 2 + rng.next_u64() % (raw / 2 + 1);
-    jittered.max(hint_ms.unwrap_or(0))
-}
-
-/// Consecutive-failure circuit breaker: `threshold` request-level failures
-/// in a row open the circuit; while open, requests fail fast with
-/// [`ClientError::CircuitOpen`]. After `cooldown` the breaker goes
-/// half-open and admits a single probe — success closes it, failure
-/// re-opens it for another cooldown.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    threshold: u32,
-    cooldown: Duration,
-    consecutive: u32,
-    opened_at: Option<Instant>,
-    half_open: bool,
-    opened_total: u64,
-}
-
-impl CircuitBreaker {
-    /// A breaker that opens after `threshold` consecutive failures and
-    /// probes again after `cooldown`.
-    pub fn new(threshold: u32, cooldown: Duration) -> CircuitBreaker {
-        CircuitBreaker {
-            threshold: threshold.max(1),
-            cooldown,
-            consecutive: 0,
-            opened_at: None,
-            half_open: false,
-            opened_total: 0,
-        }
-    }
-
-    /// May a request proceed right now? Open + cooled-down flips to
-    /// half-open and admits the probe.
-    pub fn admit(&mut self) -> bool {
-        match self.opened_at {
-            None => true,
-            Some(t) if t.elapsed() >= self.cooldown => {
-                self.half_open = true;
-                true
-            }
-            Some(_) => false,
-        }
-    }
-
-    /// Records a request-level success (closes the circuit).
-    pub fn record_success(&mut self) {
-        self.consecutive = 0;
-        self.opened_at = None;
-        self.half_open = false;
-    }
-
-    /// Records a request-level failure (a request that stayed failed after
-    /// all its retries — individual failed attempts don't count).
-    pub fn record_failure(&mut self) {
-        self.consecutive += 1;
-        if self.half_open || self.consecutive >= self.threshold {
-            if self.opened_at.is_none() || self.half_open {
-                self.opened_total += 1;
-            }
-            self.opened_at = Some(Instant::now());
-            self.half_open = false;
-        }
-    }
-
-    /// True while the circuit is open (cooldown may or may not have
-    /// elapsed; `admit` is what decides whether a probe goes out).
-    pub fn is_open(&self) -> bool {
-        self.opened_at.is_some()
-    }
-
-    /// How many times the circuit has transitioned closed→open.
-    pub fn opened_total(&self) -> u64 {
-        self.opened_total
-    }
-}
-
-/// A self-healing client: reconnects on transport failure, retries
-/// retryable responses under a [`RetryPolicy`], and fails fast behind a
-/// [`CircuitBreaker`].
-pub struct RetryClient {
-    addr: String,
-    client: Option<Client>,
-    policy: RetryPolicy,
-    rng: Rng,
-    breaker: CircuitBreaker,
-    retries: u64,
-    connects: u64,
-}
-
-impl RetryClient {
-    /// A retrying client for `addr`. No connection is made until the
-    /// first request.
-    pub fn new(addr: &str, policy: RetryPolicy, breaker: CircuitBreaker) -> RetryClient {
-        RetryClient {
-            addr: addr.to_string(),
-            client: None,
-            rng: Rng::seed_from_u64(policy.seed),
-            policy,
-            breaker,
-            retries: 0,
-            connects: 0,
-        }
-    }
-
-    /// Retry attempts performed beyond first tries, across all requests.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// TCP connections established (1 = never had to reconnect).
-    pub fn connects(&self) -> u64 {
-        self.connects
-    }
-
-    /// The breaker's current state, for reporting.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    fn ensure_connected(&mut self) -> Result<&mut Client, ClientError> {
-        if self.client.is_none() {
-            self.client = Some(Client::connect(&self.addr)?);
-            self.connects += 1;
-        }
-        Ok(self.client.as_mut().expect("just connected"))
-    }
-
-    /// Sends `req`, retrying transport failures and retryable responses
-    /// (`Overloaded`, `injected_fault`, `shutting_down`) with backoff.
-    /// Returns the last response if retries are exhausted while it is
-    /// still retryable — the caller sees exactly what the server said.
-    ///
-    /// # Errors
-    /// [`ClientError::CircuitOpen`] when failing fast; otherwise the last
-    /// transport/protocol error after retries are exhausted.
-    pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        if !self.breaker.admit() {
-            return Err(ClientError::CircuitOpen);
-        }
-        let max_attempts = self.policy.max_attempts.max(1);
-        let mut attempt: u32 = 0;
-        loop {
-            attempt += 1;
-            let result = match self.ensure_connected() {
-                Ok(c) => c.request(req),
-                Err(e) => Err(e),
-            };
-            match result {
-                Ok(resp) => {
-                    if !resp.is_retryable() {
-                        self.breaker.record_success();
-                        return Ok(resp);
-                    }
-                    if attempt >= max_attempts {
-                        self.breaker.record_failure();
-                        return Ok(resp);
-                    }
-                    self.retries += 1;
-                    let delay =
-                        backoff_ms(&self.policy, attempt, resp.retry_after_ms(), &mut self.rng);
-                    std::thread::sleep(Duration::from_millis(delay));
-                }
-                Err(e) => {
-                    // The connection is suspect after any error; drop it so
-                    // the next attempt reconnects from scratch.
-                    self.client = None;
-                    let transient = matches!(e, ClientError::Io(_) | ClientError::Closed);
-                    if !transient || attempt >= max_attempts {
-                        self.breaker.record_failure();
-                        return Err(e);
-                    }
-                    self.retries += 1;
-                    let delay = backoff_ms(&self.policy, attempt, None, &mut self.rng);
-                    std::thread::sleep(Duration::from_millis(delay));
-                }
-            }
-        }
-    }
-}
-
 /// Latency percentile over an **unsorted** sample set (sorts a copy):
 /// nearest-rank, `p` in [0, 100].
 ///
@@ -447,82 +231,5 @@ mod tests {
     fn percentile_rejects_negative() {
         let ms: Vec<Duration> = (1..=10).map(Duration::from_millis).collect();
         let _ = percentile(&ms, -1.0);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_honors_the_hint() {
-        let policy = RetryPolicy { max_attempts: 8, base_ms: 10, cap_ms: 100, seed: 42 };
-        let mut a = Rng::seed_from_u64(policy.seed);
-        let mut b = Rng::seed_from_u64(policy.seed);
-        for attempt in 1..=8 {
-            let da = backoff_ms(&policy, attempt, None, &mut a);
-            let db = backoff_ms(&policy, attempt, None, &mut b);
-            assert_eq!(da, db, "same seed, same delays");
-            let raw = (10u64 << (attempt - 1)).min(100);
-            assert!(
-                da >= raw / 2 && da <= raw,
-                "attempt {attempt}: {da} outside [{}, {raw}]",
-                raw / 2
-            );
-        }
-        // A server hint floors the delay even when the exponential term is
-        // still tiny.
-        let d = backoff_ms(&policy, 1, Some(77), &mut a);
-        assert!(d >= 77, "hint 77 is a floor, got {d}");
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_recovers_through_half_open() {
-        let mut br = CircuitBreaker::new(3, Duration::from_millis(20));
-        // Two failures: still closed.
-        assert!(br.admit());
-        br.record_failure();
-        assert!(br.admit());
-        br.record_failure();
-        assert!(!br.is_open());
-        // Third consecutive failure trips it.
-        br.record_failure();
-        assert!(br.is_open());
-        assert_eq!(br.opened_total(), 1);
-        assert!(!br.admit(), "open circuit fails fast during cooldown");
-        // After the cooldown one probe is admitted (half-open)...
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(br.admit(), "cooled-down breaker admits a probe");
-        // ...and a failed probe re-opens immediately (no threshold count).
-        br.record_failure();
-        assert!(br.is_open());
-        assert_eq!(br.opened_total(), 2);
-        assert!(!br.admit());
-        // A successful probe after the next cooldown closes it for good.
-        std::thread::sleep(Duration::from_millis(25));
-        assert!(br.admit());
-        br.record_success();
-        assert!(!br.is_open());
-        assert!(br.admit());
-    }
-
-    #[test]
-    fn breaker_success_resets_the_consecutive_count() {
-        let mut br = CircuitBreaker::new(3, Duration::from_millis(5));
-        br.record_failure();
-        br.record_failure();
-        br.record_success();
-        br.record_failure();
-        br.record_failure();
-        assert!(!br.is_open(), "a success in between must reset the streak");
-    }
-
-    #[test]
-    fn circuit_open_error_is_returned_without_a_connection() {
-        // Breaker pre-tripped; the address is never dialed (port 1 would
-        // fail with Io, not CircuitOpen).
-        let mut br = CircuitBreaker::new(1, Duration::from_secs(60));
-        br.record_failure();
-        let mut rc = RetryClient::new("127.0.0.1:1", RetryPolicy::default(), br);
-        match rc.request(&Request::Health) {
-            Err(ClientError::CircuitOpen) => {}
-            other => panic!("expected CircuitOpen, got {other:?}"),
-        }
-        assert_eq!(rc.connects(), 0, "fail-fast must not dial");
     }
 }

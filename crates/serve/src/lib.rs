@@ -23,10 +23,10 @@
 //!   admission, drains in-flight work, joins every worker, and emits a
 //!   final stats line; in-flight clients get their answers.
 //!
-//! The companion `revel_client` binary doubles as the load generator for
-//! the serving benchmark (EXPERIMENTS.md): closed-loop or rate-paced load
-//! over the 42-cell evaluation grid with a p50/p90/p99 latency report and
-//! the server-side cache hit rate.
+//! The companion `revel_client` binary is the load generator (EXPERIMENTS.md):
+//! it runs [`scenario`] files — paced load over the 42-cell evaluation
+//! grid with SLO gates — or replays a canned request file verbatim with a
+//! p50/p90/p99 latency report and the server-side cache hit rate.
 //!
 //! [`SimOptions::wall_deadline`]: revel_core::sim::SimOptions
 
@@ -35,6 +35,7 @@
 
 pub mod client;
 pub mod fleet;
+pub mod harness;
 pub mod probe;
 pub mod protocol;
 pub mod queue;

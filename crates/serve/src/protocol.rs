@@ -312,9 +312,9 @@ pub enum Response {
         /// Rendered diagnostics.
         diagnostics: Vec<String>,
     },
-    /// A simulation that carried a fault plan (explicit `fault_seed` or a
-    /// chaos-mode injection). Never a trusted result: the client is
-    /// expected to inspect the counts or retry without the plan.
+    /// A simulation that carried a fault plan (an explicit `fault_seed`).
+    /// Never a trusted result: the client is expected to inspect the
+    /// counts or retry without the plan.
     Faulted {
         /// Cycles executed.
         cycles: u64,

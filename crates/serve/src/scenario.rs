@@ -198,37 +198,29 @@ fn lane_seed(seed: u64, phase: usize, lane: usize) -> u64 {
 /// Turn a mix cell (plus its grid cursor, for `{"grid": true}` draws) into
 /// the protocol request it stands for.
 fn materialize(cell: &MixCell, grid_cursor: Option<u64>, cells: &[grid::Cell]) -> Request {
-    match cell {
-        MixCell::Grid => {
+    let (bench, params, arch, batch) = match cell {
+        MixCell::Grid { batch } => {
             let c = &cells[grid_cursor.unwrap_or(0) as usize % cells.len()];
-            simulate(c.bench.name(), &c.bench.params(), c.arch)
+            (c.bench.name().to_string(), c.bench.params(), c.arch.to_string(), *batch)
         }
         MixCell::Cell { bench, params, arch, batch } => {
-            if *batch > 0 {
-                Request::SimulateBatch {
-                    bench: bench.clone(),
-                    params: params.clone(),
-                    arch: arch.clone(),
-                    seeds: (1..=*batch).collect(),
-                }
-            } else {
-                simulate(bench, params, arch)
-            }
+            (bench.clone(), params.clone(), arch.clone(), *batch)
         }
-    }
-}
-
-fn simulate(bench: &str, params: &str, arch: &str) -> Request {
-    Request::Simulate {
-        bench: bench.to_string(),
-        params: params.to_string(),
-        arch: arch.to_string(),
-        deadline_ms: None,
-        max_cycles: None,
-        reference_stepper: false,
-        fault_seed: None,
-        fault_count: None,
-        fault_window: None,
+    };
+    if batch > 0 {
+        Request::SimulateBatch { bench, params, arch, seeds: (1..=batch).collect() }
+    } else {
+        Request::Simulate {
+            bench,
+            params,
+            arch,
+            deadline_ms: None,
+            max_cycles: None,
+            reference_stepper: false,
+            fault_seed: None,
+            fault_count: None,
+            fault_window: None,
+        }
     }
 }
 

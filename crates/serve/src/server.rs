@@ -20,7 +20,8 @@
 //!   [`Fleet`](crate::fleet::Fleet) is attached, forwards them to the
 //!   shard that owns the request's cache key — with a `catch_unwind`
 //!   fence so a panicking request becomes a structured `internal` error
-//!   instead of a dead worker.
+//!   instead of a dead worker (an injected [`DISPATCH_FAILPOINT`] panic
+//!   becomes a retryable `injected_fault`).
 //!
 //! Replies stay in request order per connection: each admitted frame
 //! reserves a slot in the connection's pending queue, and the loop only
@@ -40,7 +41,6 @@ use crate::queue::{Bounded, PushError};
 use crate::signal;
 use revel_bench::grid;
 use revel_core::engine::{self, Served};
-use revel_core::isa::Rng;
 use revel_core::sim::{FaultPlan, SimOptions};
 use revel_core::workloads::run_workload_with;
 use std::collections::VecDeque;
@@ -76,13 +76,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded-queue capacity (admitted-but-unserved requests).
     pub queue_capacity: usize,
-    /// Chaos mode: probability in [0, 1] that a worker injects a fault
-    /// (panic, delay, or fault-plan simulation) into a popped job. 0
-    /// disables chaos entirely.
-    pub chaos_rate: f64,
-    /// Seed for the per-worker chaos RNG streams (deterministic given the
-    /// seed, worker count, and per-worker job order).
-    pub chaos_seed: u64,
     /// Shard id reported by the `health` op when this process runs as a
     /// fleet shard; `None` for a standalone server or the fleet frontend.
     pub shard_id: Option<u64>,
@@ -105,8 +98,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7411".to_string(),
             workers: 0,
             queue_capacity: 64,
-            chaos_rate: 0.0,
-            chaos_seed: 0,
             shard_id: None,
             conn_timeout: DEFAULT_CONN_TIMEOUT,
             wbuf_limit: DEFAULT_WBUF_LIMIT,
@@ -128,7 +119,8 @@ pub struct FinalStats {
     pub timed_out: u64,
     /// Requests answered with a structured error.
     pub errors: u64,
-    /// Chaos-mode fault injections (panics, delays, fault-plan runs).
+    /// Firings of the [`DISPATCH_FAILPOINT`] site (injected errors,
+    /// delays and panics).
     pub injected: u64,
     /// Connections closed by the slow-loris deadline (no complete frame,
     /// nothing owed, `conn_timeout` elapsed).
@@ -168,8 +160,6 @@ struct Shared {
     queue: Bounded<Job>,
     shutdown: AtomicBool,
     workers: usize,
-    chaos_rate: f64,
-    chaos_seed: u64,
     shard_id: Option<u64>,
     /// Local port (resolved after bind), reported by `fleet_stats` when
     /// a standalone server answers for itself.
@@ -246,8 +236,6 @@ impl Server {
                 queue: Bounded::new(cfg.queue_capacity),
                 shutdown: AtomicBool::new(false),
                 workers,
-                chaos_rate: cfg.chaos_rate.clamp(0.0, 1.0),
-                chaos_seed: cfg.chaos_seed,
                 shard_id: cfg.shard_id,
                 port,
                 fleet: None,
@@ -312,7 +300,7 @@ impl Server {
             // one long-lived worker loop per slot.
             let pool = scope.spawn(move || {
                 let slots: Vec<usize> = (0..shared.workers).collect();
-                engine::par_map_jobs(&slots, shared.workers, |slot| worker_loop(shared, *slot));
+                engine::par_map_jobs(&slots, shared.workers, |_| worker_loop(shared));
             });
             let result = event_loop(&self.listener, shared);
             shared.queue.close();
@@ -683,109 +671,61 @@ fn event_loop(listener: &TcpListener, shared: &Shared) -> std::io::Result<()> {
     }
 }
 
-/// Marker payload for chaos panics: the unwind handler rewrites exactly
-/// this message into a retryable `injected_fault` error; every other panic
-/// stays a non-retryable `internal` error.
-const CHAOS_PANIC_MSG: &str = "chaos: injected worker panic";
+/// The failpoint every popped job passes inside the worker's
+/// `catch_unwind` fence (context: this server's port). Armed from
+/// `REVEL_FAILPOINTS`, it drills client retries against live traffic:
+/// `err` answers a retryable `injected_fault`, `delay:MS` holds the
+/// worker and then serves the right answer, and `panic` unwinds through
+/// the same fence real bugs do. A `%RATE/SEED` trigger injects a steady,
+/// seeded fraction of faults.
+pub const DISPATCH_FAILPOINT: &str = "serve.worker.dispatch";
 
-/// The three worker-side chaos faults `--chaos` draws from.
-#[derive(Clone, Copy)]
-enum ChaosKind {
-    /// Panic mid-request (exercises the catch_unwind fence).
-    Panic,
-    /// Hold the worker briefly, then serve the request correctly (a pure
-    /// latency fault — the response is still the right answer).
-    Delay,
-    /// Run a simulate request under an injected fault plan; answer with a
-    /// retryable error so the client retries onto a clean pass.
-    FaultSim,
-}
-
-impl ChaosKind {
-    fn pick(rng: &mut Rng) -> ChaosKind {
-        match rng.gen_index(3) {
-            0 => ChaosKind::Panic,
-            1 => ChaosKind::Delay,
-            _ => ChaosKind::FaultSim,
-        }
-    }
-}
-
-/// Chaos `FaultSim`: the request is actually simulated — with a seeded
-/// fault plan injected — through the engine's uncached path, then answered
-/// with a retryable error. Non-simulate ops have no machine to perturb and
-/// get the error directly.
-fn execute_fault_sim(req: &Request, seed: u64, shared: &Shared) -> Response {
-    let injected = Response::Error {
+/// The retryable answer to an injected fault.
+fn injected_fault(shared: &Shared, message: String) -> Response {
+    shared.injected.fetch_add(1, Ordering::Relaxed);
+    Response::Error {
         kind: "injected_fault".to_string(),
-        message: "chaos: fault-plan run, result untrusted".to_string(),
+        message,
         retry_after_ms: Some(shared.retry_hint_ms()),
-    };
-    if let Request::Simulate { bench, params, arch, .. } = req {
-        if bench != probe::BENCH_NAME {
-            if let Some((b, cfg)) = grid::resolve(bench, params, arch) {
-                // Result (and any simulator error) deliberately discarded:
-                // a faulted run is untrusted by definition, and the engine
-                // guarantees it never lands in the cache.
-                let _ = engine::run_fault_injected(b, &cfg, FaultPlan::new(seed, 4, 4096));
-            }
-        }
     }
-    injected
 }
 
-/// Serves one popped job: forwarded to the owning shard when a fleet is
-/// attached, executed through the local engine otherwise.
+/// Serves one popped job behind the [`DISPATCH_FAILPOINT`] site:
+/// forwarded to the owning shard when a fleet is attached, executed
+/// through the local engine otherwise.
 fn dispatch(shared: &Shared, job: &Job) -> Response {
+    match revel_failpoint::hit_with(DISPATCH_FAILPOINT, || shared.port.to_string()) {
+        Ok(false) => {}
+        // A delay fired, then the job is served as usual.
+        Ok(true) => {
+            shared.injected.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(e) => return injected_fault(shared, e.to_string()),
+    }
     match &shared.fleet {
         Some(fleet) => fleet.forward(&job.req),
         None => execute(&job.req, job.deadline),
     }
 }
 
-fn worker_loop(shared: &Shared, slot: usize) {
-    // Each worker owns a deterministic chaos stream: same seed, worker
-    // count, and per-worker job order ⇒ same injection decisions. (Which
-    // worker pops which job is scheduling-dependent — chaos determinism is
-    // per-stream, convergence of retried results is what the tests pin.)
-    let mut rng =
-        Rng::seed_from_u64(shared.chaos_seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        let chaos = if shared.chaos_rate > 0.0 && rng.gen_f64() < shared.chaos_rate {
-            shared.injected.fetch_add(1, Ordering::Relaxed);
-            Some(ChaosKind::pick(&mut rng))
-        } else {
-            None
-        };
-        let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            match chaos {
-                // The panic rides the same catch_unwind fence real bugs
-                // do — chaos proves the fence, not a parallel code path.
-                Some(ChaosKind::Panic) => panic!("{CHAOS_PANIC_MSG}"),
-                Some(ChaosKind::Delay) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    dispatch(shared, &job)
-                }
-                Some(ChaosKind::FaultSim) => execute_fault_sim(&job.req, rng.next_u64(), shared),
-                None => dispatch(shared, &job),
-            }
-        }))
-        .unwrap_or_else(|payload| {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "request panicked".to_string());
-            if msg == CHAOS_PANIC_MSG {
-                Response::Error {
-                    kind: "injected_fault".to_string(),
-                    message: msg,
-                    retry_after_ms: Some(shared.retry_hint_ms()),
-                }
-            } else {
-                Response::error("internal", msg)
-            }
-        });
+        let resp =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(shared, &job)))
+                .unwrap_or_else(|payload| {
+                    if let Some(p) = payload.downcast_ref::<revel_failpoint::InjectedPanic>() {
+                        return injected_fault(
+                            shared,
+                            format!("failpoint '{}': injected panic", p.site),
+                        );
+                    }
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                        .unwrap_or_else(|| "request panicked".to_string());
+                    Response::error("internal", msg)
+                });
         match &resp {
             Response::TimedOut { .. } => shared.timed_out.fetch_add(1, Ordering::Relaxed),
             Response::Error { .. } => shared.errors.fetch_add(1, Ordering::Relaxed),

@@ -1,28 +1,20 @@
-//! Chaos-mode loopback tests: a server injecting worker-side faults at a
-//! fixed rate, self-healing clients retrying through them, and the
+//! Chaos loopback tests: a server whose `serve.worker.dispatch`
+//! failpoint injects errors, delays and panics into a seeded ~10% of jobs,
+//! clients replaying through them with the shared harness, and the
 //! acceptance criteria — every eventually-successful response is
-//! byte-identical to the batch path, no worker dies permanently, and the
-//! circuit breaker opens under sustained overload and recovers after it.
+//! byte-identical to the batch path and no worker dies permanently.
 
 use revel_core::Bench;
-use revel_serve::client::{CircuitBreaker, Client, ClientError, RetryClient, RetryPolicy};
-use revel_serve::protocol::{encode_response, Request, Response};
-use revel_serve::server::{response_for_run, FinalStats, Server, ServerConfig};
-use std::time::Duration;
+use revel_serve::client::Client;
+use revel_serve::harness::replay_once;
+use revel_serve::protocol::{encode_request, encode_response, Request, Response};
+use revel_serve::server::{response_for_run, FinalStats, Server, ServerConfig, DISPATCH_FAILPOINT};
 
-fn start_chaos(
-    workers: usize,
-    queue_capacity: usize,
-    chaos_rate: f64,
-    chaos_seed: u64,
-) -> (String, std::thread::JoinHandle<FinalStats>) {
+fn start(workers: usize, queue_capacity: usize) -> (String, std::thread::JoinHandle<FinalStats>) {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers,
         queue_capacity,
-        chaos_rate,
-        chaos_seed,
-        shard_id: None,
         ..Default::default()
     };
     let server = Server::bind(&cfg).expect("bind ephemeral port");
@@ -33,7 +25,8 @@ fn start_chaos(
 
 fn shutdown(addr: &str) {
     let mut c = Client::connect(addr).expect("connect for shutdown");
-    // Shutdown is answered inline (control plane): chaos never touches it.
+    // Shutdown is answered inline (control plane): the dispatch failpoint
+    // never touches it.
     assert_eq!(c.request(&Request::Shutdown).expect("shutdown"), Response::ShuttingDown);
 }
 
@@ -51,15 +44,22 @@ fn simulate_req(bench: &Bench, arch: &str) -> Request {
     }
 }
 
-/// Acceptance criterion: with a fixed chaos seed and a 10% injection rate,
-/// three retrying clients against two workers converge — every request
-/// eventually succeeds, and each success is byte-identical to what
-/// `Bench::run` produces. Faults were really injected (server counter) and
-/// neither worker died permanently (the pool still serves after the storm).
+/// Acceptance criterion: with seeded injections at ~10% of jobs, three
+/// clients against two workers converge — every request eventually
+/// succeeds, and each success is byte-identical to what `Bench::run`
+/// produces. Faults were really injected (server counter) and neither
+/// worker died permanently (the pool still serves after the storm).
 #[test]
 fn chaos_at_ten_percent_converges_to_byte_identical_results() {
     use revel_core::compiler::BuildCfg;
-    let (addr, handle) = start_chaos(2, 16, 0.1, 7);
+    let (addr, handle) = start(2, 16);
+    // Filtered on this server's port, so concurrent tests never fire it.
+    let port = addr.rsplit(':').next().expect("addr has a port");
+    let spec = format!(
+        "{DISPATCH_FAILPOINT}#{port}=err%0.034/7; {DISPATCH_FAILPOINT}#{port}=delay:5%0.033/8; \
+         {DISPATCH_FAILPOINT}#{port}=panic%0.033/9"
+    );
+    assert_eq!(revel_failpoint::arm_spec(&spec), Ok(3));
 
     let cells: Vec<(Bench, &str, BuildCfg)> = vec![
         (Bench::Solver { n: 12 }, "revel", BuildCfg::revel(1)),
@@ -73,28 +73,27 @@ fn chaos_at_ten_percent_converges_to_byte_identical_results() {
         .collect();
 
     std::thread::scope(|s| {
-        for client_no in 0..3u64 {
+        for client_no in 0..3usize {
             let (addr, cells, expected) = (&addr, &cells, &expected);
             s.spawn(move || {
-                // Plenty of attempts: at a 10% fault rate the odds of nine
-                // consecutive injections on one request are negligible, so
-                // every request converges.
-                let policy =
-                    RetryPolicy { max_attempts: 9, base_ms: 2, cap_ms: 40, seed: client_no };
-                let breaker = CircuitBreaker::new(10, Duration::from_millis(100));
-                let mut rc = RetryClient::new(addr, policy, breaker);
-                for pass in 0..3 {
-                    for k in 0..cells.len() {
-                        let i = (k + pass) % cells.len();
-                        let (bench, arch, _) = &cells[i];
-                        let got = rc.request(&simulate_req(bench, arch)).expect("converges");
-                        assert_eq!(
-                            encode_response(9, &got),
-                            encode_response(9, &expected[i]),
-                            "client {client_no}: {} [{arch}] diverged after retries",
-                            bench.name()
-                        );
-                    }
+                // Three passes over the cells, each client starting at a
+                // different offset; frame id k answers cell order[k].
+                let order: Vec<usize> =
+                    (0..3 * cells.len()).map(|k| (k + client_no) % cells.len()).collect();
+                let frames: Vec<String> = order
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &i)| encode_request(k as u64, &simulate_req(&cells[i].0, cells[i].1)))
+                    .collect();
+                let got = replay_once(addr, &frames, None).expect("converges");
+                for (k, &i) in order.iter().enumerate() {
+                    assert_eq!(
+                        got[&(k as u64)],
+                        encode_response(k as u64, &expected[i]),
+                        "client {client_no}: {} [{}] diverged after retries",
+                        cells[i].0.name(),
+                        cells[i].1
+                    );
                 }
             });
         }
@@ -102,18 +101,16 @@ fn chaos_at_ten_percent_converges_to_byte_identical_results() {
 
     // No worker died permanently: more sequential jobs than workers all
     // complete after the chaos traffic (a dead slot would hang one).
-    let policy = RetryPolicy { max_attempts: 9, base_ms: 2, cap_ms: 40, seed: 99 };
-    let mut rc =
-        RetryClient::new(&addr, policy, CircuitBreaker::new(10, Duration::from_millis(100)));
-    for _ in 0..4 {
-        assert_eq!(
-            rc.request(&Request::Sleep { ms: 1 }).expect("pool alive"),
-            Response::Slept { ms: 1 }
-        );
+    let sleeps: Vec<String> =
+        (0..4).map(|id| encode_request(id, &Request::Sleep { ms: 1 })).collect();
+    let got = replay_once(&addr, &sleeps, None).expect("pool alive");
+    for id in 0..4 {
+        assert_eq!(got[&id], encode_response(id, &Response::Slept { ms: 1 }));
     }
 
     shutdown(&addr);
     let stats = handle.join().expect("server thread");
+    revel_failpoint::disarm(DISPATCH_FAILPOINT, port);
     assert!(stats.injected > 0, "chaos must actually have injected faults: {stats}");
     assert!(
         stats.completed > stats.injected,
@@ -121,67 +118,12 @@ fn chaos_at_ten_percent_converges_to_byte_identical_results() {
     );
 }
 
-/// Acceptance criterion: the circuit breaker opens under sustained
-/// overload (fail-fast without touching the wire) and recovers through a
-/// half-open probe once the backlog clears.
-#[test]
-fn breaker_opens_under_overload_and_recovers() {
-    // No chaos here: overload is produced deterministically by occupying
-    // the single worker and the single queue slot.
-    let (addr, handle) = start_chaos(1, 1, 0.0, 0);
-
-    let mut busy = Client::connect(&addr).expect("connect");
-    let t_busy = std::thread::spawn(move || busy.request(&Request::Sleep { ms: 900 }));
-    std::thread::sleep(Duration::from_millis(150)); // worker popped it
-
-    let mut queued = Client::connect(&addr).expect("connect");
-    let t_queued = std::thread::spawn(move || queued.request(&Request::Sleep { ms: 50 }));
-    std::thread::sleep(Duration::from_millis(150)); // queue slot taken
-
-    // max_attempts 1: each overloaded answer is a request-level failure.
-    let policy = RetryPolicy { max_attempts: 1, base_ms: 1, cap_ms: 5, seed: 0 };
-    let mut rc =
-        RetryClient::new(&addr, policy, CircuitBreaker::new(3, Duration::from_millis(250)));
-    for i in 0..3 {
-        match rc.request(&Request::Sleep { ms: 1 }).expect("served an answer") {
-            Response::Overloaded { retry_after_ms, .. } => {
-                assert!(retry_after_ms.is_some(), "overload carries a hint (attempt {i})");
-            }
-            other => panic!("expected overloaded, got {other:?}"),
-        }
-    }
-    assert!(rc.breaker().is_open(), "three consecutive failures must open the circuit");
-    assert_eq!(rc.breaker().opened_total(), 1);
-
-    // While open: fail-fast, no wire traffic.
-    match rc.request(&Request::Sleep { ms: 1 }) {
-        Err(ClientError::CircuitOpen) => {}
-        other => panic!("expected CircuitOpen, got {other:?}"),
-    }
-
-    // Backlog clears; after the cooldown the half-open probe succeeds and
-    // the breaker closes again.
-    assert_eq!(t_busy.join().unwrap().expect("busy"), Response::Slept { ms: 900 });
-    assert_eq!(t_queued.join().unwrap().expect("queued"), Response::Slept { ms: 50 });
-    std::thread::sleep(Duration::from_millis(300));
-    assert_eq!(
-        rc.request(&Request::Sleep { ms: 1 }).expect("probe"),
-        Response::Slept { ms: 1 },
-        "half-open probe must reach the drained server"
-    );
-    assert!(!rc.breaker().is_open(), "a successful probe closes the circuit");
-
-    shutdown(&addr);
-    let stats = handle.join().expect("server thread");
-    assert!(stats.overloaded >= 3, "{stats}");
-}
-
 /// A fault-seeded simulate request is answered with a structured `faulted`
 /// snapshot (never a cached clean result), and the same seed yields the
 /// same snapshot — over the wire, not just in-process.
 #[test]
 fn fault_seeded_requests_report_deterministic_snapshots() {
-    let (addr, handle) = start_chaos(2, 8, 0.0, 0);
+    let (addr, handle) = start(2, 8);
     let mut c = Client::connect(&addr).expect("connect");
     let bench = Bench::Qr { n: 12 };
     let fault_req = |seed: u64| Request::Simulate {

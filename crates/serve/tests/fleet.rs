@@ -23,8 +23,6 @@ fn fleet_cfg(shards: usize, base_port: u16, snapshot_dir: Option<PathBuf>) -> Fl
         queue_capacity: 8,
         snapshot_dir,
         cache_capacity: None,
-        chaos_rate: 0.0,
-        chaos_seed: 0,
         max_restarts: DEFAULT_MAX_RESTARTS,
         failpoints: None,
         binary: PathBuf::from(env!("CARGO_BIN_EXE_revel_serve")),
@@ -186,8 +184,7 @@ fn flapping_shard_trips_the_restart_circuit_and_is_evicted() {
         "supervisor.respawn",
         "7560",
         revel_failpoint::Action::InjectError,
-        1,
-        true,
+        revel_failpoint::Trigger::From(1),
     );
     assert!(sup.kill_shard(0, false), "shard had a live process");
     assert!(

@@ -13,8 +13,6 @@ fn start(workers: usize, queue_capacity: usize) -> (String, std::thread::JoinHan
         addr: "127.0.0.1:0".to_string(),
         workers,
         queue_capacity,
-        chaos_rate: 0.0,
-        chaos_seed: 0,
         shard_id: None,
         ..Default::default()
     };

@@ -17,9 +17,9 @@
 //!   report instead of silently lying.
 //! * **Deterministic-jitter retries.** Retryable failures reschedule with
 //!   capped exponential backoff jittered into `[raw/2, raw]` by the lane's
-//!   seeded RNG, with any server `retry_after_ms` hint as a floor — the
-//!   same policy as `revel_serve::client`, reproduced bit-for-bit from the
-//!   lane seed.
+//!   seeded RNG, with any server `retry_after_ms` hint as a floor. This is
+//!   the serving tier's only retry backoff: every client that retries
+//!   drives a lane, so one seed reproduces every delay.
 //!
 //! Replies correlate FIFO: the serving protocol answers each connection's
 //! requests strictly in arrival order (DESIGN.md §11), so the oldest
@@ -369,8 +369,9 @@ impl Lane {
     }
 
     /// Capped exponential backoff with deterministic jitter into
-    /// `[raw/2, raw]`, floored by the server hint — the `revel_serve`
-    /// client policy, driven by the lane's seeded RNG.
+    /// `[raw/2, raw]`, floored by the server hint and clamped to the cap
+    /// (or the hint, when the server asks for longer), driven by the
+    /// lane's seeded RNG.
     fn backoff_ms(&mut self, attempt: u32, hint_ms: Option<u64>) -> u64 {
         let exp = attempt.saturating_sub(1).min(16);
         let raw = self.cfg.backoff_base_ms.saturating_mul(1u64 << exp).min(self.cfg.backoff_cap_ms);

@@ -39,9 +39,9 @@
 //! }
 //! ```
 //!
-//! `mix` entries name an explicit grid cell (optionally a batch lane via
-//! `"batch": N`) or `{"grid": true}`, which walks the whole 42-cell
-//! evaluation grid round-robin. A phase may override `mix`, and an event's
+//! `mix` entries name an explicit grid cell or `{"grid": true}`, which
+//! walks the whole 42-cell evaluation grid round-robin; either may be a
+//! batch lane via `"batch": N` (seeds 1..=N per request). A phase may override `mix`, and an event's
 //! victim may be `{"shard": N}` or `{"owner_of": {"bench", "params",
 //! "arch"}}` (the ring owner of that cell, resolved server-side).
 
@@ -90,8 +90,12 @@ pub struct MixEntry {
 #[derive(Debug, Clone, PartialEq)]
 pub enum MixCell {
     /// Walk the full evaluation grid round-robin (each draw of this entry
-    /// consumes the next grid cursor value).
-    Grid,
+    /// consumes the next grid cursor value), optionally as batched-replay
+    /// lanes.
+    Grid {
+        /// Batch width; 0 means a plain (non-batched) simulate.
+        batch: u64,
+    },
     /// A fixed cell, optionally as a batched-replay lane.
     Cell {
         /// Workload name, e.g. `"solver"`.
@@ -333,21 +337,20 @@ fn parse_mix(v: &Value, at: &str) -> Result<Vec<MixEntry>, ScenarioError> {
         if weight <= 0.0 || weight > 1e6 {
             return Err(serr(format!("{eat}.weight"), "weight must be in (0, 1e6]"));
         }
+        let batch = opt_u64(entry, "batch", &eat)?.unwrap_or(0);
+        if batch > 1024 {
+            return Err(serr(format!("{eat}.batch"), "batch is capped at 1024"));
+        }
         let cell = if entry.get("grid").and_then(Value::as_bool).unwrap_or(false) {
-            MixCell::Grid
+            MixCell::Grid { batch }
         } else {
             MixCell::Cell {
                 bench: req_str(entry, "bench", &eat)?,
                 params: entry.get("params").and_then(Value::as_str).unwrap_or("").to_string(),
                 arch: entry.get("arch").and_then(Value::as_str).unwrap_or("").to_string(),
-                batch: opt_u64(entry, "batch", &eat)?.unwrap_or(0),
+                batch,
             }
         };
-        if let MixCell::Cell { batch, .. } = cell {
-            if batch > 1024 {
-                return Err(serr(format!("{eat}.batch"), "batch is capped at 1024"));
-            }
-        }
         out.push(MixEntry { weight, cell });
     }
     Ok(out)
@@ -576,7 +579,7 @@ impl Scenario {
                     }
                     pick -= m.weight;
                 }
-                let grid_cursor_val = if matches!(mix[entry].cell, MixCell::Grid) {
+                let grid_cursor_val = if matches!(mix[entry].cell, MixCell::Grid { .. }) {
                     let v = grid_cursor;
                     grid_cursor += 1;
                     Some(v)

@@ -164,6 +164,49 @@ fn backoff_is_seed_deterministic_and_decorrelated() {
     assert_ne!(run(42), run(43), "different seeds must decorrelate jitter");
 }
 
+/// The waits (ms) between each retryable reply and the retry it schedules,
+/// for one request that is answered retryably on every attempt.
+fn retry_gaps_ms(cfg: LaneCfg, seed: u64, hint_ms: Option<u64>) -> Vec<u64> {
+    let mut lane = Lane::new(cfg, seed, vec![0]);
+    let (mut now, mut replied_at, mut gaps) = (0u64, None, Vec::new());
+    loop {
+        match lane.next_action(now) {
+            Action::Send { .. } => {
+                if let Some(t) = replied_at {
+                    gaps.push((now - t) / 1000);
+                }
+                lane.on_sent(now);
+                lane.on_reply(ReplyClass::Retryable { outcome: Outcome::Error, hint_ms }, now);
+                replied_at = Some(now);
+            }
+            Action::Sleep { until_us } => now = until_us,
+            Action::Recv { .. } => panic!("every reply is fed at once"),
+            Action::Done => return gaps,
+        }
+    }
+}
+
+#[test]
+fn backoff_is_deterministic_capped_and_honors_the_hint() {
+    let cfg = LaneCfg { max_attempts: 8, backoff_base_ms: 10, backoff_cap_ms: 100, ..cfg(1, 8) };
+    let gaps = retry_gaps_ms(cfg, 42, None);
+    assert_eq!(gaps, retry_gaps_ms(cfg, 42, None), "same seed, same delays");
+    assert_eq!(gaps.len(), 7, "eight attempts, seven waits");
+    for (i, &gap) in gaps.iter().enumerate() {
+        let raw = (10u64 << i).min(100);
+        assert!(
+            gap >= raw / 2 && gap <= raw,
+            "retry {}: {gap} outside [{}, {raw}]",
+            i + 1,
+            raw / 2
+        );
+    }
+    // A server hint floors the delay even when the exponential term is
+    // still tiny, and may exceed the cap: the server asked for it.
+    assert!(retry_gaps_ms(cfg, 42, Some(77)).iter().all(|&g| g >= 77));
+    assert!(retry_gaps_ms(cfg, 42, Some(150)).iter().all(|&g| g == 150));
+}
+
 #[test]
 fn transport_error_retries_then_errors_out() {
     // max_attempts 2: a transport error after the first send reschedules;

@@ -15,7 +15,8 @@ const VALID: &str = r#"{
   "mix": [
     {"weight": 3, "bench": "solver", "params": "n=12", "arch": "revel"},
     {"weight": 1, "grid": true},
-    {"bench": "fft", "params": "n=64", "arch": "revel", "batch": 8}
+    {"bench": "fft", "params": "n=64", "arch": "revel", "batch": 8},
+    {"grid": true, "batch": 4}
   ],
   "phases": [
     {"name": "warm", "duration_ms": 2000, "pattern": {"kind": "constant", "rps": 40}},
@@ -42,10 +43,11 @@ fn valid_scenario_parses_with_defaults() {
     assert_eq!(s.max_attempts, 4, "retries 3 = 4 attempts");
     assert_eq!(s.backoff_base_ms, 5, "default backoff base");
     assert_eq!(s.backoff_cap_ms, 200, "default backoff cap");
-    assert_eq!(s.mix.len(), 3);
+    assert_eq!(s.mix.len(), 4);
     assert_eq!(s.mix[2].weight, 1.0, "weight defaults to 1");
-    assert!(matches!(s.mix[1].cell, MixCell::Grid));
+    assert!(matches!(s.mix[1].cell, MixCell::Grid { batch: 0 }));
     assert!(matches!(&s.mix[2].cell, MixCell::Cell { batch: 8, .. }));
+    assert!(matches!(s.mix[3].cell, MixCell::Grid { batch: 4 }), "grid entries batch too");
     assert_eq!(s.phases.len(), 3);
     assert!(s.phases[1].reconnect);
     assert_eq!(s.phases[1].events.len(), 1);
